@@ -19,7 +19,7 @@
 #                        suites in tests/trace_io_test.cpp)
 #   src/rete/  >= 75%  — match engine, TREAT rival and the naive oracle
 #   src/pmatch/ >= 85% — BSP parallel matcher; the model checker drives
-#                        every mailbox/merge ordering the seam exposes
+#                        every round-input/merge ordering the seam exposes
 #   src/serve/ >= 75%  — serving engine; the engine/isolation suites and
 #                        the CLI smoke cover the hot paths, some shutdown
 #                        and rejection plumbing is cold
@@ -68,7 +68,7 @@ if ./build/tools/mpps selfcheck --rounds 5 --seed 1 \
 fi
 
 echo "=== tier-1: pmatch model checker (exhaustive corpus + planted fault) ==="
-# Every distinguishable mailbox/merge ordering of every corpus scenario
+# Every distinguishable round-input/merge ordering of every corpus scenario
 # must agree with the serial engine (docs/TESTING.md, "Model checker").
 ./build/tools/mpps check --exhaustive
 # The checker must also CATCH a planted merge-order fault (exit 1) — the
@@ -79,6 +79,16 @@ if ./build/tools/mpps check --exhaustive --fault merge-order \
   echo "model checker failed to catch an injected merge-order fault" >&2
   exit 1
 fi
+if ./build/tools/mpps check --exhaustive --fault drain-fifo \
+    > /dev/null 2>&1; then
+  echo "model checker failed to catch an injected drain-fifo fault" >&2
+  exit 1
+fi
+
+# The smoke artifacts below go under build/, never to the repo root,
+# where the committed full-run BENCH_*.json files live.
+SMOKE=build/smoke
+mkdir -p "$SMOKE"
 
 echo "=== tier-1: simulator kernel throughput smoke (BENCH_simkernel.json) ==="
 # Smoke mode (tiny traces, 2 timed iterations) exists to catch bit-rot in
@@ -86,23 +96,23 @@ echo "=== tier-1: simulator kernel throughput smoke (BENCH_simkernel.json) ==="
 # writes is the run artifact (docs/SIMULATOR.md explains how to read it).
 # Absolute numbers from smoke mode are noise — run the bench without
 # --smoke for comparable measurements.
-./build/bench/simkernel_throughput --smoke -o BENCH_simkernel.json
-test -s BENCH_simkernel.json
+./build/bench/simkernel_throughput --smoke -o "$SMOKE/BENCH_simkernel.json"
+test -s "$SMOKE/BENCH_simkernel.json"
 
 echo "=== tier-1: topology speedup smoke (BENCH_topology.json) ==="
 # The speedup grid per interconnection topology (flat wire / mesh /
 # torus / fat-tree); smoke mode trims the processor grid but runs every
 # topology, so routing + contention + auto-geometry stay exercised on
 # every build (docs/SIMULATOR.md, "Network models").
-./build/bench/topology_speedup --smoke -o BENCH_topology.json
-test -s BENCH_topology.json
+./build/bench/topology_speedup --smoke -o "$SMOKE/BENCH_topology.json"
+test -s "$SMOKE/BENCH_topology.json"
 
 echo "=== tier-1: parallel match throughput smoke (BENCH_pmatch.json) ==="
 # Measured (wall-clock) counterpart of the simulated curves above; the
 # JSON records hardware_concurrency — on a 1-CPU runner the speedup
 # columns honestly stay <= 1 (docs/PARALLEL_MATCH.md).
-./build/bench/pmatch_throughput --smoke -o BENCH_pmatch.json
-test -s BENCH_pmatch.json
+./build/bench/pmatch_throughput --smoke -o "$SMOKE/BENCH_pmatch.json"
+test -s "$SMOKE/BENCH_pmatch.json"
 
 echo "=== tier-1: profiler smoke report (PROFILE_pmatch.json) ==="
 # The wall-clock phase-attribution report on the fanout workload as a
@@ -112,17 +122,17 @@ echo "=== tier-1: profiler smoke report (PROFILE_pmatch.json) ==="
 # `run --profile --json` path exercised and archived.
 ./build/tools/mpps run examples/programs/bench_fanout.ops \
   --match-threads 2 --match-batch 16 --profile --json --quiet \
-  > PROFILE_pmatch.json
-test -s PROFILE_pmatch.json
-grep -q '"min_attributed_pct"' PROFILE_pmatch.json
+  > "$SMOKE/PROFILE_pmatch.json"
+test -s "$SMOKE/PROFILE_pmatch.json"
+grep -q '"min_attributed_pct"' "$SMOKE/PROFILE_pmatch.json"
 
 echo "=== tier-1: serve latency smoke (BENCH_serve.json) ==="
 # Multi-tenant serving engine latency/fusion grid (docs/SERVING.md);
 # smoke mode trims the per-session transaction count but still runs the
 # full sessions x threads grid, so admission batching, phase fusion and
 # cross-session isolation counters stay exercised on every build.
-./build/bench/serve_latency --smoke -o BENCH_serve.json
-test -s BENCH_serve.json
+./build/bench/serve_latency --smoke -o "$SMOKE/BENCH_serve.json"
+test -s "$SMOKE/BENCH_serve.json"
 
 echo "=== tier-1: serve soak (bounded RSS, ~30s) ==="
 # Closed-loop soak through the real CLI: 8 concurrent sessions replaying
@@ -133,9 +143,9 @@ echo "=== tier-1: serve soak (bounded RSS, ~30s) ==="
 # bounded, so memory must be flat.
 ./build/tools/mpps serve examples/programs/bench_fanout.ops \
   --sessions 8 --seconds 30 --wm-window 8 --match-threads 2 \
-  --rss-ceiling-mb 512 --json > SOAK_serve.json
-test -s SOAK_serve.json
-grep -q '"cross_session_deltas": 0' SOAK_serve.json
+  --rss-ceiling-mb 512 --json > "$SMOKE/SOAK_serve.json"
+test -s "$SMOKE/SOAK_serve.json"
+grep -q '"cross_session_deltas": 0' "$SMOKE/SOAK_serve.json"
 
 echo "=== tier-1: attribution percentage + latency percentile gate ==="
 # Every *_pct field any artifact emits must sit in [0, 100], every
@@ -143,8 +153,9 @@ echo "=== tier-1: attribution percentage + latency percentile gate ==="
 # triple must be finite, non-negative and monotone; the >100%
 # conflict_update_pct regression (wrong denominator) is exactly what this
 # catches (scripts/check_pct.py).
-python3 scripts/check_pct.py BENCH_pmatch.json PROFILE_pmatch.json \
-  BENCH_topology.json BENCH_serve.json SOAK_serve.json
+python3 scripts/check_pct.py "$SMOKE/BENCH_pmatch.json" \
+  "$SMOKE/PROFILE_pmatch.json" "$SMOKE/BENCH_topology.json" \
+  "$SMOKE/BENCH_serve.json" "$SMOKE/SOAK_serve.json"
 
 if [ "$FAST" -eq 1 ]; then
   echo "=== tier-1 passed (sanitizer + coverage passes skipped via --fast) ==="
@@ -166,9 +177,9 @@ echo "=== sanitizers: TSan rebuild of the threaded code + its tests (build-tsan/
 # tree; only the multi-threaded code (SweepRunner, BaselineCache, the
 # pmatch worker pool) and its tests need the pass, so build and run just
 # those targets.  pmatch_tests includes the differential oracle at
-# 1/2/4/8 worker threads, the round-batched oracle and mailbox suites
-# (pmatch_batch_test / pmatch_mailbox_test — fused phases stress the
-# sharded mailbox and the cross-round merge paths hardest), plus the
+# 1/2/4/8 worker threads, the round-batched oracle suite
+# (pmatch_batch_test — fused phases stress the outbox gather and the
+# cross-round merge paths hardest), plus the
 # profiler integration and WorkerStats suites (pmatch_profile_test /
 # pmatch_stats_test), so this is where engine races — including
 # profiler-lane writes — would surface.  serve_tests adds the serving

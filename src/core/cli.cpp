@@ -117,11 +117,8 @@ const std::vector<CommandSpec>& commands() {
            {"--match-batch", "N", "16",
             "fuse up to N WM changes into one BSP phase (default 1;\n"
             "requires --match-threads)"},
-           {"--match-mailbox", "N", "1024",
-            "per-worker mailbox backpressure threshold (default 1024;\n"
-            "requires --match-threads)"},
            {"--profile", nullptr, nullptr,
-            "attribute each worker's wall time to match/mailbox/barrier/"
+            "attribute each worker's wall time to match/send/barrier/"
             "merge categories (requires --match-threads)"},
            kSeed,
            kJson,
@@ -248,7 +245,7 @@ const std::vector<CommandSpec>& commands() {
            kMetricsOut,
        }},
       {"check", nullptr,
-       "model-check the parallel match engine: explore the mailbox-drain\n"
+       "model-check the parallel match engine: explore the round-input\n"
        "and merge orderings of every BSP round (partial-order reduced)\n"
        "and assert conflict-set equality against the serial engine on\n"
        "every explored schedule (exit 0 clean, 1 on any mismatch or a\n"
@@ -402,11 +399,6 @@ class Args {
   std::vector<std::string> positionals_;
 };
 
-long parse_long_or(const std::string& s, long fallback) {
-  long v = 0;
-  return parse_int(s, v) ? v : fallback;
-}
-
 /// "1,2,4" → {1, 2, 4}.  Every field must be a positive integer; a
 /// malformed or non-positive field is a usage error naming the field (a
 /// silently dropped entry would shrink the sweep grid unnoticed).
@@ -432,31 +424,20 @@ std::vector<std::uint32_t> parse_u32_list(const std::string& s,
   return out;
 }
 
-/// A flag whose explicit value must be a positive integer (`--match-batch
-/// 0`, `--match-mailbox 0` and garbage are usage errors, not a silent
-/// coercion to some default); returns `fallback` when the flag is absent.
-std::uint64_t parse_positive_or(const Args& args, const std::string& flag,
-                                std::uint64_t fallback) {
+/// The integer value of `flag`, or `fallback` when the flag is absent.
+/// An explicit value must be a whole number >= `min` (1, or 0 for flags
+/// where 0 means something); garbage, a negative or a too-small value is
+/// a usage error (exit 2), never a silent fall back to the default.
+std::uint64_t parse_int_flag(const Args& args, const std::string& flag,
+                             std::uint64_t fallback, long min = 1) {
   const std::string raw = args.value(flag, "");
   if (raw.empty()) return fallback;
   long v = 0;
-  if (!parse_int(raw, v) || v <= 0) {
-    throw UsageError(flag + ": '" + raw + "' is not a positive integer");
+  if (!parse_int(raw, v) || v < min) {
+    throw UsageError(flag + ": '" + raw + "' is not a " +
+                     (min > 0 ? "positive" : "non-negative") + " integer");
   }
   return static_cast<std::uint64_t>(v);
-}
-
-/// The `--jobs N` worker-thread count; 0 (auto) when absent.  An explicit
-/// value must be a positive integer — `--jobs 0` and garbage are usage
-/// errors, not a silent fallback to auto.
-unsigned parse_jobs(const Args& args) {
-  const std::string raw = args.value("--jobs", "");
-  if (raw.empty()) return 0;
-  long v = 0;
-  if (!parse_int(raw, v) || v <= 0) {
-    throw UsageError("--jobs: '" + raw + "' is not a positive integer");
-  }
-  return static_cast<unsigned>(v);
 }
 
 std::string read_file(const std::string& path) {
@@ -563,11 +544,11 @@ sim::NetworkConfig parse_network(const Args& args, std::uint32_t total_nodes) {
     }
   }
   net.arity =
-      static_cast<std::uint32_t>(parse_positive_or(args, "--net-arity", 2));
+      static_cast<std::uint32_t>(parse_int_flag(args, "--net-arity", 2));
   net.levels =
-      static_cast<std::uint32_t>(parse_positive_or(args, "--net-levels", 0));
+      static_cast<std::uint32_t>(parse_int_flag(args, "--net-levels", 0));
   net.hop_latency = SimTime::ns(static_cast<std::int64_t>(
-      parse_positive_or(args, "--net-hop-ns", 0)));
+      parse_int_flag(args, "--net-hop-ns", 0)));
   try {
     sim::validate_network(net, total_nodes);
   } catch (const RuntimeError& e) {
@@ -616,8 +597,8 @@ void print_network_line(std::ostream& out, const sim::NetStats& net) {
 }
 
 int parse_run_model(const Args& args, int fallback) {
-  return static_cast<int>(
-      parse_long_or(args.value("--run", std::to_string(fallback)), fallback));
+  return static_cast<int>(parse_int_flag(
+      args, "--run", static_cast<std::uint64_t>(fallback), 0));
 }
 
 sim::CostModel cost_model_for_run(int run) {
@@ -755,40 +736,35 @@ int cmd_run(const Args& args, std::ostream& out, std::ostream& err) {
                          ? rete::Strategy::Mea
                          : rete::Strategy::Lex;
   options.max_cycles = static_cast<std::size_t>(
-      parse_long_or(args.value("--max-cycles", "100000"), 100000));
+      parse_int_flag(args, "--max-cycles", 100000));
   const bool quiet = args.flag("--quiet");
   options.out = quiet || json ? nullptr : &out;
   options.watch =
-      static_cast<int>(parse_long_or(args.value("--watch", "0"), 0));
+      static_cast<int>(parse_int_flag(args, "--watch", 0, 0));
   if (obs_out.any()) options.engine.metrics = &registry;
 
   const auto match_threads = static_cast<std::uint32_t>(
-      parse_long_or(args.value("--match-threads", "0"), 0));
+      parse_int_flag(args, "--match-threads", 0, 0));
   if (profile && match_threads == 0) {
     throw UsageError(
         "--profile requires --match-threads (it attributes the parallel "
         "match engine's wall time)");
   }
   if (match_threads == 0) {
-    for (const char* flag : {"--match-batch", "--match-mailbox"}) {
-      if (!args.value(flag, "").empty()) {
-        throw UsageError(std::string(flag) +
-                         " requires --match-threads (it configures the "
-                         "parallel match engine)");
-      }
+    if (!args.value("--match-batch", "").empty()) {
+      throw UsageError(
+          "--match-batch requires --match-threads (it configures the "
+          "parallel match engine)");
     }
   } else {
     pmatch::ParallelOptions popts;
     popts.threads = match_threads;
     if (args.value("--match-assign", "rr") == "random") {
       popts.partition = pmatch::ParallelOptions::Partition::Random;
-      popts.seed = static_cast<std::uint64_t>(
-          parse_long_or(args.value("--seed", "1"), 1));
+      popts.seed = parse_int_flag(args, "--seed", 1, 0);
     }
     popts.max_batch = static_cast<std::uint32_t>(
-        parse_positive_or(args, "--match-batch", 1));
-    popts.mailbox_capacity = static_cast<std::size_t>(
-        parse_positive_or(args, "--match-mailbox", 1024));
+        parse_int_flag(args, "--match-batch", 1));
     if (profile) popts.profiler = &profiler;
     options.engine_factory = pmatch::parallel_engine_factory(popts);
   }
@@ -837,7 +813,7 @@ int cmd_run(const Args& args, std::ostream& out, std::ostream& err) {
             << static_cast<double>(w.busy_ns) / 1e6 << " ms, "
             << w.activations << " activations, " << w.messages_sent
             << " messages sent, " << w.local_deliveries
-            << " local, max mailbox depth " << w.max_mailbox_depth << "\n";
+            << " local\n";
       }
       const double mean_busy =
           static_cast<double>(total_busy) /
@@ -882,7 +858,8 @@ int cmd_run(const Args& args, std::ostream& out, std::ostream& err) {
     sim::SimConfig base_config;
     base_config.costs = cost_model_for_run(run_model);
     SweepOptions sweep_options;
-    sweep_options.jobs = parse_jobs(args);
+    sweep_options.jobs =
+        static_cast<unsigned>(parse_int_flag(args, "--jobs", 0));
     if (obs_out.any()) {
       sweep_options.metrics = &registry;
       sweep_options.tracer = &tracer;
@@ -935,8 +912,6 @@ int cmd_run(const Args& args, std::ostream& out, std::ostream& err) {
         w.field("activations", ws.activations);
         w.field("messages_sent", ws.messages_sent);
         w.field("local_deliveries", ws.local_deliveries);
-        w.field("max_mailbox_depth", ws.max_mailbox_depth);
-        w.field("mailbox_overflows", ws.mailbox_overflows);
         w.end_object();
       }
       w.end_array();
@@ -1005,26 +980,25 @@ int cmd_serve(const Args& args, std::ostream& out, std::ostream& err) {
   }
   const bool json = args.flag("--json");
   const auto sessions =
-      static_cast<std::uint32_t>(parse_positive_or(args, "--sessions", 8));
+      static_cast<std::uint32_t>(parse_int_flag(args, "--sessions", 8));
   const std::uint64_t transactions =
-      parse_positive_or(args, "--transactions", 64);
-  const std::uint64_t seconds = parse_positive_or(args, "--seconds", 0);
+      parse_int_flag(args, "--transactions", 64);
+  const std::uint64_t seconds = parse_int_flag(args, "--seconds", 0);
   const auto window =
-      static_cast<std::size_t>(parse_positive_or(args, "--wm-window", 32));
+      static_cast<std::size_t>(parse_int_flag(args, "--wm-window", 32));
   const std::uint64_t rss_ceiling =
-      parse_positive_or(args, "--rss-ceiling-mb", 0);
-  const auto seed =
-      static_cast<std::uint64_t>(parse_long_or(args.value("--seed", "1"), 1));
+      parse_int_flag(args, "--rss-ceiling-mb", 0);
+  const auto seed = parse_int_flag(args, "--seed", 1, 0);
   const std::string metrics_path = args.value("--metrics-out", "");
 
   obs::Registry registry;
   serve::ServeOptions sopts;
   sopts.match.threads = static_cast<std::uint32_t>(
-      parse_positive_or(args, "--match-threads", 2));
+      parse_int_flag(args, "--match-threads", 2));
   sopts.admission_batch = static_cast<std::uint32_t>(
-      parse_positive_or(args, "--admission-batch", 16));
+      parse_int_flag(args, "--admission-batch", 16));
   sopts.queue_capacity = static_cast<std::size_t>(
-      parse_positive_or(args, "--queue-capacity", 256));
+      parse_int_flag(args, "--queue-capacity", 256));
   sopts.max_sessions = sessions;
   sopts.metrics = &registry;
 
@@ -1170,7 +1144,7 @@ int cmd_trace(const Args& args, std::ostream& out, std::ostream& err) {
   }
   PipelineOptions options;
   options.interpreter.engine.num_buckets = static_cast<std::uint32_t>(
-      parse_long_or(args.value("--buckets", "256"), 256));
+      parse_int_flag(args, "--buckets", 256));
   const PipelineResult result =
       record_trace_from_source(read_file(path), path, options);
   const std::string out_path = args.value("-o", "");
@@ -1203,14 +1177,15 @@ int cmd_stats(const Args& args, std::ostream& out, std::ostream& err) {
       parse_u32_list(args.value("--procs", "16"), "--procs");
   const int run = parse_run_model(args, 1);
   const auto top_k =
-      static_cast<std::size_t>(parse_long_or(args.value("--top", "8"), 8));
+      static_cast<std::size_t>(parse_int_flag(args, "--top", 8));
   const sim::NetworkConfig network = parse_network(
       args, 1 + *std::max_element(procs_list.begin(), procs_list.end()));
   const ObsOutputs obs_out = ObsOutputs::from(args);
   obs::Registry registry;
   obs::Tracer tracer;
   SweepOptions sweep_options;
-  sweep_options.jobs = parse_jobs(args);
+  sweep_options.jobs =
+      static_cast<unsigned>(parse_int_flag(args, "--jobs", 0));
   if (obs_out.any()) {
     sweep_options.metrics = &registry;
     sweep_options.tracer = &tracer;
@@ -1327,9 +1302,9 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
     config.mapping = sim::MappingMode::ProcessorPairs;
   }
   config.constant_test_processors =
-      static_cast<std::uint32_t>(parse_long_or(args.value("--ct", "0"), 0));
+      static_cast<std::uint32_t>(parse_int_flag(args, "--ct", 0, 0));
   config.conflict_set_processors =
-      static_cast<std::uint32_t>(parse_long_or(args.value("--cs", "0"), 0));
+      static_cast<std::uint32_t>(parse_int_flag(args, "--cs", 0, 0));
   const std::string termination = args.value("--termination", "none");
   if (termination == "ack") {
     config.termination = sim::TerminationModel::AckCounting;
@@ -1342,8 +1317,7 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
                 config.conflict_set_processors);
 
   const std::string assign = args.value("--assign", "rr");
-  const auto seed = static_cast<std::uint64_t>(
-      parse_long_or(args.value("--seed", "1"), 1));
+  const auto seed = parse_int_flag(args, "--seed", 1, 0);
   const auto assignment_for = [&](const sim::SimConfig& cfg) {
     return assign == "random"
                ? sim::Assignment::random(t.num_buckets, cfg.partitions(), seed)
@@ -1409,7 +1383,8 @@ int cmd_simulate(const Args& args, std::ostream& out, std::ostream& err) {
   // A comma list sweeps the processor counts across worker threads; the
   // exports then hold the merged registry / merged timeline.
   SweepOptions sweep_options;
-  sweep_options.jobs = parse_jobs(args);
+  sweep_options.jobs =
+      static_cast<unsigned>(parse_int_flag(args, "--jobs", 0));
   if (obs_out.any()) {
     sweep_options.metrics = &registry;
     sweep_options.tracer = &tracer;
@@ -1499,8 +1474,7 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
 
   const bool pairs = args.value("--mapping", "merged") == "pairs";
   const std::string assign = args.value("--assign", "rr");
-  const auto seed = static_cast<std::uint64_t>(
-      parse_long_or(args.value("--seed", "1"), 1));
+  const auto seed = parse_int_flag(args, "--seed", 1, 0);
   const sim::NetworkConfig network = parse_network(
       args, 1 + *std::max_element(procs.begin(), procs.end()));
 
@@ -1534,7 +1508,8 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
   obs::Registry registry;
   obs::Tracer tracer;
   SweepOptions options;
-  options.jobs = parse_jobs(args);
+  options.jobs =
+      static_cast<unsigned>(parse_int_flag(args, "--jobs", 0));
   options.check_invariants = true;
   const ObsOutputs obs_out = ObsOutputs::from(args);
   if (obs_out.any()) {
@@ -1594,16 +1569,8 @@ int cmd_sweep(const Args& args, std::ostream& out, std::ostream& err) {
 /// simulator (docs/TESTING.md).  Deterministic for a fixed --seed.
 int cmd_selfcheck(const Args& args, std::ostream& out, std::ostream& err) {
   SelfCheckOptions options;
-  {
-    const std::string raw = args.value("--rounds", "200");
-    long v = 0;
-    if (!parse_int(raw, v) || v <= 0) {
-      throw UsageError("--rounds: '" + raw + "' is not a positive integer");
-    }
-    options.rounds = static_cast<std::uint64_t>(v);
-  }
-  options.seed = static_cast<std::uint64_t>(
-      parse_long_or(args.value("--seed", "1"), 1));
+  options.rounds = parse_int_flag(args, "--rounds", 200);
+  options.seed = parse_int_flag(args, "--seed", 1, 0);
   try {
     options.fault = parse_fault(args.value("--fault", "none"));
   } catch (const RuntimeError& e) {
@@ -1647,12 +1614,11 @@ int cmd_check(const Args& args, std::ostream& out, std::ostream& err) {
   }
   if (!schedules_raw.empty()) {
     options.mode = mc::CheckOptions::Mode::Random;
-    options.schedules = parse_positive_or(args, "--schedules", 64);
+    options.schedules = parse_int_flag(args, "--schedules", 64);
   }
-  options.seed = static_cast<std::uint64_t>(
-      parse_long_or(args.value("--seed", "1"), 1));
+  options.seed = parse_int_flag(args, "--seed", 1, 0);
   options.max_schedules =
-      parse_positive_or(args, "--max-schedules", options.max_schedules);
+      parse_int_flag(args, "--max-schedules", options.max_schedules);
   try {
     options.fault = mc::parse_fault(args.value("--fault", "none"));
   } catch (const RuntimeError& e) {
@@ -1721,9 +1687,9 @@ int cmd_slice(const Args& args, std::ostream& out, std::ostream& err) {
   }
   const trace::Trace t = read_trace_file(path);
   const auto first = static_cast<std::size_t>(
-      parse_long_or(args.value("--from", "0"), 0));
+      parse_int_flag(args, "--from", 0, 0));
   const auto count = static_cast<std::size_t>(
-      parse_long_or(args.value("--cycles", "4"), 4));
+      parse_int_flag(args, "--cycles", 4));
   const trace::Trace section = trace::slice(t, first, count);
   const std::string out_path = args.value("-o", "");
   if (out_path.empty()) {

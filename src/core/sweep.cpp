@@ -113,10 +113,9 @@ std::vector<SweepOutcome> SweepRunner::run(
   }
 
   // Cross-run laws (event conservation across the cost grid, token
-  // conservation across processor counts, overhead monotonicity) over
-  // every group of scenarios replaying the same trace with the same
-  // assignment — the monotonicity law is only meaningful between runs
-  // sharing one assignment (see sim::ObservedRun).  Runs serially after
+  // conservation across processor counts, hop monotonicity) over every
+  // group of scenarios replaying the same trace with the same assignment
+  // (see sim::ObservedRun).  Runs serially after
   // the join, in scenario order, so the law counters merged into
   // `metrics` stay bit-identical for every jobs value.
   if (options_.check_invariants) {

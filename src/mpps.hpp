@@ -257,16 +257,6 @@ class ParallelOptionsBuilder {
     options_.assignment = std::move(map);
     return *this;
   }
-  /// Mailbox backpressure threshold.  Zero is rejected here, at the
-  /// builder layer, rather than silently coerced downstream.
-  ParallelOptionsBuilder& mailbox_capacity(std::size_t n) {
-    if (n == 0) {
-      throw UsageError(
-          "ParallelOptionsBuilder: mailbox_capacity must be positive");
-    }
-    options_.mailbox_capacity = n;
-    return *this;
-  }
   /// WM changes fused per BSP phase by `process_changes`: 1 (default)
   /// keeps one-change-one-phase; 0 means unbounded (one phase per act
   /// batch).  docs/PARALLEL_MATCH.md, "Batching WM changes".
@@ -310,14 +300,6 @@ class ServeOptionsBuilder {
       throw UsageError("ServeOptionsBuilder: num_buckets must be positive");
     }
     options_.match.num_buckets = n;
-    return *this;
-  }
-  ServeOptionsBuilder& mailbox_capacity(std::size_t n) {
-    if (n == 0) {
-      throw UsageError(
-          "ServeOptionsBuilder: mailbox_capacity must be positive");
-    }
-    options_.match.mailbox_capacity = n;
     return *this;
   }
   /// Most transactions (one per session) fused into a single BSP phase.

@@ -16,8 +16,6 @@ const char* prof_category_name(ProfCategory category) {
       return "match";
     case ProfCategory::MailboxEnqueue:
       return "mailbox_enqueue";
-    case ProfCategory::MailboxDequeue:
-      return "mailbox_dequeue";
     case ProfCategory::BarrierWait:
       return "barrier_wait";
     case ProfCategory::RoundMerge:
@@ -98,9 +96,8 @@ ProfileReport Profiler::report(std::size_t top_k_buckets) const {
     for (const ProfSpan& span : lane.spans()) {
       const auto cat = static_cast<std::size_t>(span.category);
       if (span.category == ProfCategory::Match) {
-        // `aux` is the time spent inside cross-worker mailbox pushes,
-        // nested in the match loop; re-attribute it so categories are
-        // disjoint.
+        // `aux` is the time spent inside cross-worker sends, nested in
+        // the match loop; re-attribute it so categories are disjoint.
         const std::uint64_t enqueue = std::min(span.aux, span.dur_ns);
         out.category_ns[cat] += span.dur_ns - enqueue;
         out.category_ns[static_cast<std::size_t>(
@@ -230,8 +227,8 @@ void print_profile_report(std::ostream& os, const ProfileReport& report) {
      << std::setprecision(2) << report.rounds_per_change()
      << std::defaultfloat << " rounds per change)\n";
 
-  TextTable table({"worker", "wall ms", "match %", "enqueue %", "dequeue %",
-                   "barrier %", "merge %", "unattr %", "activations"});
+  TextTable table({"worker", "wall ms", "match %", "enqueue %", "barrier %",
+                   "merge %", "unattr %", "activations"});
   const auto cat = [](const ProfileReport::Worker& w, ProfCategory c) {
     return w.category_ns[static_cast<std::size_t>(c)];
   };
@@ -242,7 +239,6 @@ void print_profile_report(std::ostream& os, const ProfileReport& report) {
         .cell(static_cast<double>(w.wall_ns) / 1e6, 3)
         .cell(safe_pct(cat(w, ProfCategory::Match), w.wall_ns), 1)
         .cell(safe_pct(cat(w, ProfCategory::MailboxEnqueue), w.wall_ns), 1)
-        .cell(safe_pct(cat(w, ProfCategory::MailboxDequeue), w.wall_ns), 1)
         .cell(safe_pct(cat(w, ProfCategory::BarrierWait), w.wall_ns), 1)
         .cell(safe_pct(cat(w, ProfCategory::RoundMerge), w.wall_ns), 1)
         .cell(safe_pct(w.unattributed_ns, w.wall_ns), 1)

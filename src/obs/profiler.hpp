@@ -1,8 +1,8 @@
 // The wall-clock phase-attribution profiler for measured (threaded) match
 // engines: where `Tracer` records *simulated* time, this subsystem
 // attributes *real* nanoseconds of every BSP phase to a fixed category
-// set — match compute, mailbox enqueue/dequeue, barrier wait, round
-// merge/sort, conflict-set update — per worker and per round.  It is the
+// set — match compute, cross-worker sends, barrier wait, round gather,
+// conflict-set update — per worker and per round.  It is the
 // measured-engine counterpart of the paper's Table 5-1 cost split
 // (match / send / recv / overhead per processor), and the per-bucket load
 // accounting it keeps is the prerequisite for online bucket rebalancing.
@@ -35,18 +35,17 @@ namespace mpps::obs {
 class Tracer;
 
 /// The fixed attribution categories.  `Match` spans carry the nanoseconds
-/// spent inside cross-worker mailbox pushes as `aux`; reports subtract
-/// that out, so the six categories are disjoint and sum to at most the
+/// spent appending children for other workers as `aux`; reports subtract
+/// that out, so the five categories are disjoint and sum to at most the
 /// measured wall time.
 enum class ProfCategory : std::uint8_t {
   Match = 0,           // alpha scan + join work on owned buckets
-  MailboxEnqueue,      // pushing children into other workers' mailboxes
-  MailboxDequeue,      // draining the own mailbox at a round boundary
-  BarrierWait,         // parked at the round / exchange barriers
-  RoundMerge,          // (sender, seq) sort + local-child merge per round
+  MailboxEnqueue,      // appending children to outboxes for other workers
+  BarrierWait,         // parked at the round barrier
+  RoundMerge,          // gathering the next round from every outbox
   ConflictUpdate,      // control-thread deterministic merge + conflict set
 };
-inline constexpr std::size_t kProfCategories = 6;
+inline constexpr std::size_t kProfCategories = 5;
 
 /// Stable lower_snake_case name ("match", "barrier_wait", ...), used by
 /// the text report, the JSON schema and the Chrome-trace export.
@@ -65,9 +64,9 @@ struct ProfSpan {
   std::uint32_t round = 0;
   std::uint64_t start_ns = 0;
   std::uint64_t dur_ns = 0;
-  /// Category-specific payload: Match → ns inside mailbox pushes (to be
-  /// re-attributed to MailboxEnqueue), MailboxDequeue → items drained,
-  /// RoundMerge → merged round size, ConflictUpdate → records merged.
+  /// Category-specific payload: Match → ns inside cross-worker sends (to
+  /// be re-attributed to MailboxEnqueue), RoundMerge → items gathered,
+  /// ConflictUpdate → records merged.
   std::uint64_t aux = 0;
 };
 

@@ -116,12 +116,8 @@ ParallelEngine::ParallelEngine(const rete::Network& net,
       conflict_([&net](ProductionId pid) {
         return net.production(pid).specificity();
       }),
-      round_barrier_(static_cast<std::ptrdiff_t>(threads_)),
-      exchange_barrier_(static_cast<std::ptrdiff_t>(threads_),
-                        ExchangeCompletion{this}) {
-  if (options_.mailbox_capacity == 0) {
-    throw RuntimeError("ParallelEngine: mailbox_capacity must be positive");
-  }
+      round_barrier_(static_cast<std::ptrdiff_t>(threads_),
+                     RoundCompletion{this}) {
   if (options_.schedule != nullptr && options_.profiler != nullptr) {
     throw RuntimeError(
         "ParallelEngine: schedule-controlled mode is single-threaded and "
@@ -130,8 +126,7 @@ ParallelEngine::ParallelEngine(const rete::Network& net,
   }
   workers_.reserve(threads_);
   for (std::uint32_t i = 0; i < threads_; ++i) {
-    workers_.push_back(std::make_unique<Worker>(
-        i, num_buckets_, options_.mailbox_capacity, threads_));
+    workers_.push_back(std::make_unique<Worker>(i, num_buckets_, threads_));
   }
   if (options_.profiler != nullptr) {
     options_.profiler->attach(threads_, num_buckets_);
@@ -154,9 +149,6 @@ ParallelEngine::ParallelEngine(const rete::Network& net,
     instr_.rounds = &reg.counter("pmatch.rounds");
     instr_.phases = &reg.counter("pmatch.phases");
     instr_.changes = &reg.counter("pmatch.changes");
-    instr_.overflows = &reg.counter("pmatch.mailbox_overflows");
-    instr_.mailbox_depth = &reg.histogram(
-        "pmatch.mailbox_depth", obs::Histogram::exponential_bounds(1, 2.0, 12));
     instr_.busy.reserve(threads_);
     instr_.idle.reserve(threads_);
     for (std::uint32_t i = 0; i < threads_; ++i) {
@@ -210,10 +202,7 @@ void ParallelEngine::run_worker_phase(Worker& w) {
   std::uint64_t idle_ns = 0;
   w.records.clear();
   w.deltas.clear();
-  w.drain_depths.clear();
   recycle_items(w, w.current);
-  recycle_items(w, w.next);
-  recycle_items(w, w.self_next);
   w.provisional_counter = 0;
   w.round = 0;
   try {
@@ -225,11 +214,11 @@ void ParallelEngine::run_worker_phase(Worker& w) {
   // When profiling, every clock reading both ends one span and starts the
   // next so the category spans tile the phase wall (the unattributed
   // remainder is only loop glue).  When not profiling this loop takes
-  // exactly the same four clock readings per round it always has.
+  // exactly two clock readings per round.
   auto seg_start = phase_start;
   auto phase_end = phase_start;
   while (true) {
-    w.emit_seq = 0;
+    w.emitted = 0;
     w.prof_enqueue_ns = 0;
     if (w.error == nullptr) {
       try {
@@ -238,45 +227,13 @@ void ParallelEngine::run_worker_phase(Worker& w) {
         w.error = std::current_exception();
       }
     }
-    auto wait_start = Clock::now();
+    const auto wait_start = Clock::now();
     if (lane != nullptr) {
       lane->span(obs::ProfCategory::Match, w.round, lane->stamp(seg_start),
                  lane->stamp(wait_start), w.prof_enqueue_ns);
     }
     round_barrier_.arrive_and_wait();
-    auto barrier_end = Clock::now();
-    idle_ns += ns_between(wait_start, barrier_end);
-    if (lane != nullptr) {
-      lane->span(obs::ProfCategory::BarrierWait, w.round,
-                 lane->stamp(wait_start), lane->stamp(barrier_end));
-    }
-
-    recycle_items(w, w.next);
-    const std::size_t drained = w.mailbox.drain_into(w.next);
-    w.drain_depths.push_back(drained);
-    auto drain_end = barrier_end;
-    if (lane != nullptr) {
-      drain_end = Clock::now();
-      lane->span(obs::ProfCategory::MailboxDequeue, w.round,
-                 lane->stamp(barrier_end), lane->stamp(drain_end), drained);
-    }
-    for (WorkItem& item : w.self_next) w.next.push_back(std::move(item));
-    w.self_next.clear();
-    std::sort(w.next.begin(), w.next.end(),
-              [](const WorkItem& a, const WorkItem& b) {
-                return a.sender != b.sender ? a.sender < b.sender
-                                            : a.seq < b.seq;
-              });
-    pending_total_.fetch_add(w.next.size(), std::memory_order_relaxed);
-
-    wait_start = Clock::now();
-    if (lane != nullptr) {
-      lane->span(obs::ProfCategory::RoundMerge, w.round,
-                 lane->stamp(drain_end), lane->stamp(wait_start),
-                 w.next.size());
-    }
-    exchange_barrier_.arrive_and_wait();
-    barrier_end = Clock::now();
+    const auto barrier_end = Clock::now();
     idle_ns += ns_between(wait_start, barrier_end);
     if (lane != nullptr) {
       lane->span(obs::ProfCategory::BarrierWait, w.round,
@@ -286,9 +243,15 @@ void ParallelEngine::run_worker_phase(Worker& w) {
       phase_end = barrier_end;
       break;
     }
-    std::swap(w.current, w.next);
-    ++w.round;
+    gather(w);
     seg_start = barrier_end;
+    if (lane != nullptr) {
+      seg_start = Clock::now();
+      lane->span(obs::ProfCategory::RoundMerge, w.round,
+                 lane->stamp(barrier_end), lane->stamp(seg_start),
+                 w.current.size());
+    }
+    ++w.round;
   }
   const std::uint64_t phase_ns = ns_between(phase_start, phase_end);
   w.wstats.idle_ns += idle_ns;
@@ -298,10 +261,27 @@ void ParallelEngine::run_worker_phase(Worker& w) {
   }
 }
 
-void ParallelEngine::on_exchange() noexcept {
-  phase_done_ = pending_total_.load(std::memory_order_relaxed) == 0;
-  pending_total_.store(0, std::memory_order_relaxed);
+void ParallelEngine::on_round_end() noexcept {
+  std::uint64_t emitted = 0;
+  for (const auto& w : workers_) emitted += w->emitted;
+  phase_done_ = emitted == 0;
   ++rounds_executed_;
+}
+
+void ParallelEngine::gather(Worker& w, std::vector<ScheduledOp>* ops) {
+  recycle_items(w, w.current);
+  const std::size_t parity = w.round & 1;
+  for (const auto& sender : workers_) {
+    std::vector<WorkItem>& box = sender->outbox[parity][w.index];
+    for (std::size_t k = 0; k < box.size(); ++k) {
+      if (ops != nullptr) {
+        ops->push_back(ScheduledOp{sender->index, k, box[k].bucket,
+                                   item_hash(box[k])});
+      }
+      w.current.push_back(std::move(box[k]));
+    }
+    box.clear();
+  }
 }
 
 std::uint64_t ParallelEngine::item_hash(const WorkItem& item) {
@@ -330,61 +310,42 @@ void ParallelEngine::run_controlled_phase() {
   // iteration per BSP round, every worker stepped in index order.  Within
   // a round the workers only touch disjoint per-bucket state (that is the
   // engine's whole ownership story), so stepping them sequentially in any
-  // fixed order is equivalent to the threaded execution — the orderings
-  // that can matter are exactly the ones delegated to the controller:
-  // mailbox slot drains and the incoming item order, which replaces the
-  // free-running path's (sender, seq) sort.
+  // fixed order is equivalent to the threaded execution — the ordering
+  // that can matter is exactly the one delegated to the controller: the
+  // incoming item order, which replaces the free-running path's
+  // ascending-sender gather.
   ScheduleControl& sched = *options_.schedule;
   for (auto& wp : workers_) {
     Worker& w = *wp;
     w.records.clear();
     w.deltas.clear();
-    w.drain_depths.clear();
     recycle_items(w, w.current);
-    recycle_items(w, w.next);
-    recycle_items(w, w.self_next);
     w.provisional_counter = 0;
     w.round = 0;
     scan_roots(w);  // round 0 = constant-test scan in change order: the
                     // real machine has no scheduler freedom here
   }
-  std::vector<std::uint32_t> slot_order;
   std::vector<std::uint32_t> order;
   std::vector<ScheduledOp> ops;
   while (true) {
+    std::uint64_t emitted = 0;
     for (auto& wp : workers_) {
       Worker& w = *wp;
-      w.emit_seq = 0;
+      w.emitted = 0;
       for (const WorkItem& item : w.current) process_item(w, item);
+      emitted += w.emitted;
     }
     ++rounds_executed_;
-    std::size_t pending = 0;
+    if (emitted == 0) break;
     for (auto& wp : workers_) {
       Worker& w = *wp;
-      recycle_items(w, w.next);
-      sched.drain_order(w.index, w.round, threads_, slot_order);
-      require_permutation(slot_order, threads_, "drain_order");
-      const std::size_t drained = w.mailbox.drain_into(w.next, slot_order);
-      w.drain_depths.push_back(drained);
-      for (WorkItem& item : w.self_next) w.next.push_back(std::move(item));
-      w.self_next.clear();
-      if (!w.next.empty()) {
-        ops.clear();
-        ops.reserve(w.next.size());
-        for (const WorkItem& it : w.next) {
-          ops.push_back(ScheduledOp{it.sender, it.seq, it.bucket,
-                                    item_hash(it)});
-        }
-        sched.order_round(w.index, w.round + 1, ops, order);
-        require_permutation(order, w.next.size(), "order_round");
-        reorder_by(w.next, order);
-      }
-      pending += w.next.size();
-    }
-    if (pending == 0) break;
-    for (auto& wp : workers_) {
-      std::swap(wp->current, wp->next);
-      ++wp->round;
+      ops.clear();
+      gather(w, &ops);
+      ++w.round;
+      if (w.current.empty()) continue;
+      sched.order_round(w.index, w.round, ops, order);
+      require_permutation(order, w.current.size(), "order_round");
+      reorder_by(w.current, order);
     }
   }
 }
@@ -396,7 +357,6 @@ ParallelEngine::WorkItem ParallelEngine::take_item(Worker& w) {
   item.token.wmes.clear();
   item.key.clear();
   item.parent = 0;
-  item.seq = 0;
   return item;
 }
 
@@ -419,7 +379,6 @@ void ParallelEngine::scan_roots(Worker& w) {
       for (const AlphaSuccessor& succ : alpha.successors) {
         const BetaNode& dest = net_.beta(succ.beta);
         WorkItem item = take_item(w);
-        item.sender = w.index;
         item.node = succ.beta;
         item.side = succ.side;
         item.tag = tag;
@@ -504,8 +463,6 @@ void ParallelEngine::emit(Worker& w, const BetaNode& node, const Token& token,
       const BetaNode& dest = net_.beta(succ.beta);
       WorkItem child = take_item(w);
       child.parent = provisional_parent;
-      child.seq = w.emit_seq++;
-      child.sender = w.index;
       child.node = succ.beta;
       child.side = Side::Left;  // two-input node outputs feed left inputs only
       child.tag = tag;
@@ -519,22 +476,24 @@ void ParallelEngine::emit(Worker& w, const BetaNode& node, const Token& token,
 
 void ParallelEngine::route(Worker& w, WorkItem item) {
   const std::uint32_t owner = owner_map_[item.bucket];
+  std::vector<WorkItem>& box = w.outbox[w.round & 1][owner];
+  ++w.emitted;
   if (owner == w.index) {
     ++w.wstats.local_deliveries;
-    w.self_next.push_back(std::move(item));
-  } else {
-    ++w.wstats.messages_sent;
-    if (w.lane == nullptr) {
-      workers_[owner]->mailbox.push(w.index, std::move(item));
-    } else {
-      // Cross-worker pushes nest inside the match loop; the accumulated
-      // time rides on the Match span's aux and reports re-attribute it
-      // to MailboxEnqueue so the categories stay disjoint.
-      const auto push_start = obs::ProfLane::now();
-      workers_[owner]->mailbox.push(w.index, std::move(item));
-      w.prof_enqueue_ns += ns_between(push_start, obs::ProfLane::now());
-    }
+    box.push_back(std::move(item));
+    return;
   }
+  ++w.wstats.messages_sent;
+  if (w.lane == nullptr) {
+    box.push_back(std::move(item));
+    return;
+  }
+  // Cross-worker sends nest inside the match loop; the accumulated time
+  // rides on the Match span's aux and reports re-attribute it to
+  // MailboxEnqueue so the categories stay disjoint.
+  const auto push_start = obs::ProfLane::now();
+  box.push_back(std::move(item));
+  w.prof_enqueue_ns += ns_between(push_start, obs::ProfLane::now());
 }
 
 void ParallelEngine::process_left(Worker& w, const WorkItem& item) {
@@ -910,13 +869,7 @@ void ParallelEngine::collect_stats() {
 std::vector<WorkerStats> ParallelEngine::worker_stats() const {
   std::vector<WorkerStats> out;
   out.reserve(threads_);
-  for (const auto& w : workers_) {
-    WorkerStats s = w->wstats;
-    const auto mb = w->mailbox.stats();
-    s.max_mailbox_depth = mb.max_depth;
-    s.mailbox_overflows = mb.overflows;
-    out.push_back(s);
-  }
+  for (const auto& w : workers_) out.push_back(w->wstats);
   return out;
 }
 
@@ -935,27 +888,18 @@ void ParallelEngine::flush_metrics() {
   const std::vector<WorkerStats> current = worker_stats();
   std::uint64_t messages = 0;
   std::uint64_t local = 0;
-  std::uint64_t overflows = 0;
   for (std::uint32_t i = 0; i < threads_; ++i) {
     messages += current[i].messages_sent - flushed_workers_[i].messages_sent;
     local +=
         current[i].local_deliveries - flushed_workers_[i].local_deliveries;
-    overflows +=
-        current[i].mailbox_overflows - flushed_workers_[i].mailbox_overflows;
     instr_.busy[i]->add(current[i].busy_ns - flushed_workers_[i].busy_ns);
     instr_.idle[i]->add(current[i].idle_ns - flushed_workers_[i].idle_ns);
   }
   instr_.messages->add(messages);
   instr_.local->add(local);
-  instr_.overflows->add(overflows);
   instr_.rounds->add(rounds_executed_ - flushed_rounds_);
   instr_.phases->add(phases_ - flushed_phases_);
   instr_.changes->add(changes_ - flushed_changes_);
-  for (const auto& w : workers_) {
-    for (std::uint64_t depth : w->drain_depths) {
-      instr_.mailbox_depth->observe(static_cast<std::int64_t>(depth));
-    }
-  }
   flushed_ = stats_;
   flushed_workers_ = current;
   flushed_rounds_ = rounds_executed_;

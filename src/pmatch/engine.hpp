@@ -3,36 +3,40 @@
 // threads act as match processors; the bucket space of the global hashed
 // token memories is partitioned across them with the same
 // `sim::Assignment` policies the simulator maps with; and token
-// activations travel between workers through bounded MPSC mailboxes (the
-// "messages").  A cycle barrier at conflict-set assembly hands the merged
+// activations travel between workers as messages through sender-owned
+// outboxes.  A cycle barrier at conflict-set assembly hands the merged
 // conflict set back to the Interpreter's match-resolve-act loop.
 //
 // Execution model (docs/PARALLEL_MATCH.md has the full walkthrough):
 // WM changes run as bulk-synchronous phases.  Workers process activation
 // rounds — round 0 holds the constant-test roots, round r+1 holds the
-// tokens round r generated — with a barrier between rounds at which
-// mailboxes are drained and the next round is sorted by
-// (sender, sequence).  Because an activation touches exactly one
-// left/right bucket pair and each pair has one owner, per-bucket state
-// never needs a lock; because rounds are merged in deterministic order,
-// the conflict set, trace records and activation ids are reproducible for
-// a fixed thread count — and at 1 thread with max_batch == 1 (the
-// default) they are byte-identical to the serial `rete::Engine` (asserted
-// in tests/pmatch_determinism_test.cpp).
+// tokens round r generated — with one barrier between rounds.  A worker
+// appends each child it emits in round r to its own outbox
+// `outbox[r & 1][owner]` (local children included); after the barrier,
+// every worker gathers its column of outboxes in ascending sender order,
+// which is (sender, emission) order with no sort.  The two parities let
+// round r+1's emissions proceed while round r's outboxes are still being
+// gathered, so one barrier per round suffices.  Because an activation
+// touches exactly one left/right bucket pair and each pair has one owner,
+// per-bucket state never needs a lock; because rounds are merged in
+// deterministic order, the conflict set, trace records and activation ids
+// are reproducible for a fixed thread count — and at 1 thread with
+// max_batch == 1 (the default) they are byte-identical to the serial
+// `rete::Engine` (asserted in tests/pmatch_determinism_test.cpp).
 //
 // Batching (the paper's multiple-modify effect, §4): with
 // `ParallelOptions::max_batch > 1`, `process_changes` runs up to
 // max_batch consecutive WM changes as ONE phase — their constant-test
 // roots all seed round 0 in change order, so the batch shares the
-// per-round barriers and the (sender, seq) sorts instead of paying them
-// once per change.  The conflict set after a batched phase equals the
+// per-round barriers and gathers instead of paying them once per change.
+// The conflict set after a batched phase equals the
 // serial engine's after the same changes (as a set: join candidates
 // share a bucket, so the +/- deltas of any one instantiation come from
 // one worker in emission order and the round-major merge preserves it) —
 // asserted against the serial oracle in tests/pmatch_batch_test.cpp.
 #pragma once
 
-#include <atomic>
+#include <array>
 #include <barrier>
 #include <condition_variable>
 #include <cstdint>
@@ -49,7 +53,6 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/profiler.hpp"
 #include "src/ops5/wme.hpp"
-#include "src/pmatch/mailbox.hpp"
 #include "src/pmatch/schedule.hpp"
 #include "src/rete/conflict.hpp"
 #include "src/rete/engine.hpp"
@@ -77,10 +80,6 @@ struct ParallelOptions {
   /// the cycle-0 map is used: tokens live in worker-owned memories across
   /// cycles, so the partition cannot migrate mid-run.
   std::optional<sim::Assignment> assignment;
-  /// Mailbox backpressure threshold (see mailbox.hpp).  Must be positive;
-  /// zero is rejected at construction (and earlier, with a UsageError, by
-  /// the CLI / ParallelOptionsBuilder layers).
-  std::size_t mailbox_capacity = 1024;
   /// Upper bound on WM changes fused into one BSP phase by
   /// `process_changes`.  1 (default) keeps the legacy one-change-one-phase
   /// behaviour (and byte-identical traces to the serial engine at one
@@ -90,8 +89,8 @@ struct ParallelOptions {
   std::uint32_t max_batch = 1;
   /// Optional metrics registry (not owned).  Mirrors the serial engine's
   /// rete.* counters and adds pmatch.* measured counters: per-worker
-  /// busy/idle nanoseconds, messages vs local deliveries, rounds, mailbox
-  /// depth and overflows.  Null ⇒ no recording.
+  /// busy/idle nanoseconds, messages vs local deliveries, rounds, phases
+  /// and changes.  Null ⇒ no recording.
   obs::Registry* metrics = nullptr;
   /// Optional phase-attribution profiler (not owned; must outlive the
   /// engine).  The engine attaches it at construction (one profiler per
@@ -117,12 +116,10 @@ struct ParallelOptions {
 /// deterministic for a fixed thread count.
 struct WorkerStats {
   std::uint64_t busy_ns = 0;
-  std::uint64_t idle_ns = 0;            // time parked at round barriers
+  std::uint64_t idle_ns = 0;            // time parked at the round barrier
   std::uint64_t activations = 0;        // items this worker processed
   std::uint64_t messages_sent = 0;      // children routed to other workers
   std::uint64_t local_deliveries = 0;   // children kept on this worker
-  std::uint64_t max_mailbox_depth = 0;
-  std::uint64_t mailbox_overflows = 0;
 };
 
 class ParallelEngine final : public rete::MatchEngine {
@@ -193,11 +190,9 @@ class ParallelEngine final : public rete::MatchEngine {
   [[nodiscard]] std::uint64_t changes() const { return changes_; }
 
  private:
-  /// One activation in flight: the unit a mailbox carries.
+  /// One activation in flight: the unit an outbox carries.
   struct WorkItem {
     std::uint64_t parent = 0;  // provisional id; 0 ⇒ constant-test root
-    std::uint64_t seq = 0;     // per-(sender, round) emission index
-    std::uint32_t sender = 0;
     NodeId node;
     rete::Side side = rete::Side::Left;
     rete::Tag tag = rete::Tag::Plus;
@@ -227,40 +222,38 @@ class ParallelEngine final : public rete::MatchEngine {
     std::uint32_t index = 0;
     rete::HashedMemory left;
     rete::HashedMemory right;
-    Mailbox<WorkItem> mailbox;
     // Per-phase state, touched only by the owning thread during a phase
-    // and by the control thread between phases.
+    // and by the control thread between phases — except the outboxes,
+    // which the receiving worker empties when it gathers them.
     std::vector<WorkItem> current;
-    std::vector<WorkItem> next;
-    std::vector<WorkItem> self_next;  // children staying on this worker
+    // outbox[r & 1][dest]: the children this worker emitted in round r
+    // for worker `dest` (itself included), in emission order.
+    std::array<std::vector<std::vector<WorkItem>>, 2> outbox;
+    std::uint64_t emitted = 0;  // children emitted in the current round
     std::vector<WorkItem> pool;  // retired items recycled to kill per-
                                  // activation token/key allocations
     rete::Token scratch;         // join-child token built in place
     rete::Token scratch_wme;     // right-activation single-wme token
     std::vector<PendingRecord> records;
     std::vector<ConflictDelta> deltas;
-    std::vector<std::uint64_t> drain_depths;  // one sample per round
     std::uint64_t provisional_counter = 0;
-    std::uint64_t emit_seq = 0;
     std::uint32_t round = 0;
     rete::EngineStats stats;  // cumulative across phases
     WorkerStats wstats;       // cumulative across phases
     obs::ProfLane* lane = nullptr;    // null ⇒ profiling off
-    std::uint64_t prof_enqueue_ns = 0;  // per-round mailbox-push time
+    std::uint64_t prof_enqueue_ns = 0;  // per-round cross-worker sends
     std::exception_ptr error;
     std::thread thread;
 
-    Worker(std::uint32_t idx, std::uint32_t num_buckets,
-           std::size_t mailbox_capacity, std::uint32_t producers)
-        : index(idx),
-          left(num_buckets),
-          right(num_buckets),
-          mailbox(mailbox_capacity, producers) {}
+    Worker(std::uint32_t idx, std::uint32_t num_buckets, std::uint32_t workers)
+        : index(idx), left(num_buckets), right(num_buckets) {
+      for (auto& parity : outbox) parity.resize(workers);
+    }
   };
 
-  struct ExchangeCompletion {
+  struct RoundCompletion {
     ParallelEngine* engine;
-    void operator()() noexcept { engine->on_exchange(); }
+    void operator()() noexcept { engine->on_round_end(); }
   };
 
   struct Instruments {
@@ -275,8 +268,6 @@ class ParallelEngine final : public rete::MatchEngine {
     obs::Counter* rounds = nullptr;
     obs::Counter* phases = nullptr;
     obs::Counter* changes = nullptr;
-    obs::Counter* overflows = nullptr;
-    obs::Histogram* mailbox_depth = nullptr;
     std::vector<obs::Counter*> busy;  // per worker
     std::vector<obs::Counter*> idle;  // per worker
   };
@@ -289,8 +280,13 @@ class ParallelEngine final : public rete::MatchEngine {
   void run_worker_phase(Worker& w);
   /// Schedule-controlled counterpart of the threaded round loop: runs
   /// every worker's rounds cooperatively on the calling thread, with the
-  /// controller choosing drain and processing orders.
+  /// controller choosing processing and merge orders.
   void run_controlled_phase();
+  /// Replaces `w.current` with the children that round `w.round`
+  /// addressed to `w`, moved out of every worker's outbox in ascending
+  /// sender order, and empties those outboxes.  With `ops` non-null, also
+  /// describes each gathered item for the schedule controller.
+  void gather(Worker& w, std::vector<ScheduledOp>* ops = nullptr);
   void scan_roots(Worker& w);
   /// Pops a recycled WorkItem (token/key capacity intact) or default-
   /// constructs one.
@@ -304,7 +300,7 @@ class ParallelEngine final : public rete::MatchEngine {
             rete::Tag tag, std::uint64_t provisional_parent,
             std::uint32_t& successors, std::uint32_t& instantiations);
   void route(Worker& w, WorkItem item);
-  void on_exchange() noexcept;
+  void on_round_end() noexcept;
 
   /// Fill-in key builders: clear `out` and append, reusing its capacity
   /// (the allocating by-value forms were the per-activation hot-path
@@ -359,12 +355,11 @@ class ParallelEngine final : public rete::MatchEngine {
   std::size_t phase_change_count_ = 0;
 
   // Round machinery.  `phase_done_`/`rounds_executed_` are written only by
-  // the exchange barrier's completion step, which std::barrier runs
-  // exactly once per round with every worker blocked — the barrier
-  // sequences those writes against all worker reads.
-  std::barrier<> round_barrier_;
-  std::barrier<ExchangeCompletion> exchange_barrier_;
-  std::atomic<std::uint64_t> pending_total_{0};
+  // the round barrier's completion step, which std::barrier runs exactly
+  // once per round with every worker blocked — the barrier sequences those
+  // writes (and its reads of every worker's `emitted`) against all worker
+  // accesses.
+  std::barrier<RoundCompletion> round_barrier_;
   bool phase_done_ = false;
   std::uint64_t rounds_executed_ = 0;
 

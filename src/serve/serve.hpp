@@ -59,7 +59,7 @@ namespace mpps::serve {
 [[nodiscard]] Symbol session_attr();
 
 struct ServeOptions {
-  /// The parallel match engine's knobs (threads, buckets, mailboxes,
+  /// The parallel match engine's knobs (threads, buckets, partition,
   /// profiler...).  `schedule` must be null: serving is driven by real
   /// threads, not a model-checking controller.  `max_batch` is ignored —
   /// admission batching decides phase boundaries (one explicit

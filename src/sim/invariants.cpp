@@ -335,48 +335,6 @@ InvariantReport check_cross_run_invariants(const trace::Trace& trace,
     }
   }
 
-  // Message-cost monotonicity: same machine, component-wise costlier
-  // messages, never a shorter makespan.
-  const auto same_machine = [](const SimConfig& a, const SimConfig& b) {
-    return a.match_processors == b.match_processors &&
-           a.mapping == b.mapping &&
-           a.constant_test_processors == b.constant_test_processors &&
-           a.conflict_set_processors == b.conflict_set_processors &&
-           a.conflict_select_cost == b.conflict_select_cost &&
-           a.termination == b.termination &&
-           a.charge_instantiation_messages == b.charge_instantiation_messages &&
-           // Topology changes shift routes, not just costs, so the
-           // monotonicity claim only holds within one network.
-           a.network == b.network &&
-           // Only the message costs may differ; the law says nothing about
-           // runs whose compute costs changed too.
-           a.costs.constant_tests == b.costs.constant_tests &&
-           a.costs.left_token == b.costs.left_token &&
-           a.costs.right_token == b.costs.right_token &&
-           a.costs.per_successor == b.costs.per_successor &&
-           a.costs.hardware_broadcast == b.costs.hardware_broadcast &&
-           a.costs.resolve_cost == b.costs.resolve_cost;
-  };
-  const auto dominates = [](const CostModel& a, const CostModel& b) {
-    return a.send_overhead >= b.send_overhead &&
-           a.recv_overhead >= b.recv_overhead &&
-           a.wire_latency >= b.wire_latency;
-  };
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    for (std::size_t j = 0; j < runs.size(); ++j) {
-      if (i == j || !same_machine(runs[i].config, runs[j].config)) continue;
-      if (!dominates(runs[i].config.costs, runs[j].config.costs)) continue;
-      checker.check(
-          "overhead-monotonicity",
-          runs[i].result->makespan < runs[j].result->makespan,
-          "costlier messages finished sooner: " +
-              ns_pair(runs[j].result->makespan.nanos(),
-                      runs[i].result->makespan.nanos()) +
-              " at " + std::to_string(runs[i].config.match_processors) +
-              " processors");
-    }
-  }
-
   // Hop monotonicity: the flat one-hop network is the floor of the
   // topology family.  When a topology run charged the same number of
   // messages at the same per-hop latency as a constant-network run, its

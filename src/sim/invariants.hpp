@@ -43,12 +43,6 @@
 //     routing inputs (mapping, processor counts, charging flag) dispatch
 //     exactly the same number of kernel events (SimResult::events),
 //     whatever their cost models — costs shift time, never routing;
-//   * message-cost monotonicity: if two runs differ only in their
-//     message costs and one dominates component-wise (send, receive and
-//     wire latency all >=), its makespan is >= the other's — the
-//     Table 5-1 grid is ordered this way by construction (the two runs
-//     must share one network configuration; topology changes shift
-//     routes, not just costs);
 //   * hop monotonicity: a topology run whose charged message count and
 //     per-hop latency match a constant-network run's can never charge
 //     LESS total wire time — every route is at least one hop, so the
@@ -94,10 +88,10 @@ InvariantReport check_run_invariants(const trace::Trace& trace,
                                      obs::Registry* metrics = nullptr);
 
 /// One (configuration, result) pair of a multi-run sweep over one trace.
-/// The checker only sees the configuration, so monotonicity comparisons
-/// assume every run in the vector used the SAME bucket assignment — do
-/// not mix in runs whose assignment was derived from the cost model
-/// (e.g. the greedy distribution).
+/// The checker only sees the configuration, so its comparisons assume
+/// every run in the vector used the SAME bucket assignment — do not mix
+/// in runs whose assignment was derived from the cost model (e.g. the
+/// greedy distribution).
 struct ObservedRun {
   SimConfig config;
   const SimResult* result = nullptr;  // not owned

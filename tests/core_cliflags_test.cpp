@@ -111,8 +111,7 @@ TEST_F(CliFlags, EveryDocumentedFlagIsAccepted) {
             << cmd.name << " " << flag.name << ": value flag needs a sample";
         args.push_back(sample_for(cmd, flag));
       }
-      if (flag.name == "--profile" || flag.name == "--match-batch" ||
-          flag.name == "--match-mailbox") {
+      if (flag.name == "--profile" || flag.name == "--match-batch") {
         // These configure the parallel engine, so each is a usage error
         // without --match-threads.
         args.insert(args.end(), {"--match-threads", "2"});
@@ -232,7 +231,7 @@ TEST_F(CliFlags, RunMatchThreadsWithSimulatedReplay) {
 
 TEST_F(CliFlags, RunMatchBatchFusesPhases) {
   const CliRun r = cli({"run", *program_, "--quiet", "--match-threads", "2",
-                        "--match-batch", "8", "--match-mailbox", "64"});
+                        "--match-batch", "8"});
   EXPECT_EQ(r.code, 0) << r.err;
   EXPECT_NE(r.out.find("parallel match: 2 workers"), std::string::npos)
       << r.out;
@@ -240,24 +239,71 @@ TEST_F(CliFlags, RunMatchBatchFusesPhases) {
 }
 
 TEST_F(CliFlags, MatchBatchRequiresMatchThreads) {
-  for (const char* flag : {"--match-batch", "--match-mailbox"}) {
-    const CliRun r = cli({"run", *program_, flag, "4"});
-    EXPECT_EQ(r.code, 2) << flag << ": " << r.err;
-    EXPECT_NE(r.err.find("requires --match-threads"), std::string::npos)
-        << flag << ": " << r.err;
-  }
+  const CliRun r = cli({"run", *program_, "--match-batch", "4"});
+  EXPECT_EQ(r.code, 2) << r.err;
+  EXPECT_NE(r.err.find("requires --match-threads"), std::string::npos)
+      << r.err;
 }
 
 TEST_F(CliFlags, MatchBatchRejectsNonPositiveValues) {
-  // Zero used to be silently coerced downstream (the Mailbox(0) bug);
-  // now every invalid size is a usage error at the CLI boundary.
-  for (const char* flag : {"--match-batch", "--match-mailbox"}) {
-    for (const char* bad : {"0", "-3", "abc", "4x"}) {
-      const CliRun r =
-          cli({"run", *program_, "--match-threads", "2", flag, bad});
-      EXPECT_EQ(r.code, 2) << flag << "=" << bad << ": " << r.err;
-      EXPECT_NE(r.err.find("not a positive integer"), std::string::npos)
-          << flag << "=" << bad << ": " << r.err;
+  for (const char* bad : {"0", "-3", "abc", "4x"}) {
+    const CliRun r = cli(
+        {"run", *program_, "--match-threads", "2", "--match-batch", bad});
+    EXPECT_EQ(r.code, 2) << bad << ": " << r.err;
+    EXPECT_NE(r.err.find("not a positive integer"), std::string::npos)
+        << bad << ": " << r.err;
+  }
+}
+
+TEST_F(CliFlags, NumericFlagsRejectGarbageAndNegatives) {
+  // Every integer flag is strict: a malformed or out-of-range value is a
+  // usage error (exit 2) naming the flag, never a silent fall back to the
+  // default (`--max-cycles abc` once ran with 100000).  Flags whose
+  // documented default is 0 accept 0; the rest need a positive value.
+  struct Case {
+    std::vector<std::string> args;  // command + operand + context flags
+    const char* flag;
+    bool zero_ok;
+  };
+  const std::vector<Case> cases = {
+      {{"run", *program_}, "--max-cycles", false},
+      {{"run", *program_}, "--watch", true},
+      {{"run", *program_}, "--match-threads", true},
+      {{"run", *program_, "--match-threads", "2", "--match-assign",
+        "random"},
+       "--seed", true},
+      {{"run", *program_, "--procs", "2"}, "--run", true},
+      {{"run", *program_, "--procs", "2"}, "--jobs", false},
+      {{"serve", *program_}, "--seed", true},
+      {{"stats", *trace_}, "--top", false},
+      {{"stats", *trace_}, "--jobs", false},
+      {{"simulate", *trace_}, "--run", true},
+      {{"simulate", *trace_}, "--ct", true},
+      {{"simulate", *trace_}, "--cs", true},
+      {{"simulate", *trace_, "--assign", "random"}, "--seed", true},
+      {{"sweep", *trace_}, "--jobs", false},
+      {{"trace", *program_, "-o", *dir_ + "/strict.trace"}, "--buckets",
+       false},
+      {{"sweep", *trace_, "--assign", "random"}, "--seed", true},
+      {{"selfcheck"}, "--rounds", false},
+      {{"selfcheck", "--rounds", "1"}, "--seed", true},
+      {{"check"}, "--seed", true},
+      {{"slice", *trace_, "-o", *dir_ + "/strict_slice.trace"}, "--from",
+       true},
+      {{"slice", *trace_, "-o", *dir_ + "/strict_slice.trace"}, "--cycles",
+       false},
+  };
+  for (const Case& c : cases) {
+    std::vector<std::string> bads = {"abc", "-1", "3x", ""};
+    bads.back() = c.zero_ok ? "-5" : "0";
+    for (const std::string& bad : bads) {
+      std::vector<std::string> args = c.args;
+      args.insert(args.end(), {c.flag, bad});
+      const CliRun r = cli(args);
+      const std::string what = args.front() + " " + c.flag + " " + bad;
+      EXPECT_EQ(r.code, 2) << what << ": " << r.err;
+      EXPECT_NE(r.err.find(c.flag), std::string::npos) << what << ": "
+                                                       << r.err;
     }
   }
 }

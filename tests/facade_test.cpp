@@ -46,7 +46,6 @@ TEST(Facade, ParallelEngineThroughBuilder) {
   const mpps::ParallelOptions popts = mpps::ParallelOptionsBuilder()
                                           .threads(2)
                                           .random_partition(7)
-                                          .mailbox_capacity(64)
                                           .metrics(&registry)
                                           .build();
   EXPECT_EQ(popts.threads, 2u);
@@ -66,7 +65,6 @@ TEST(Facade, BatchedParallelEngineThroughBuilder) {
   const mpps::ParallelOptions popts = mpps::ParallelOptionsBuilder()
                                           .threads(2)
                                           .max_batch(16)
-                                          .mailbox_capacity(64)
                                           .build();
   EXPECT_EQ(popts.max_batch, 16u);
   mpps::InterpreterOptions options;
@@ -120,13 +118,6 @@ TEST(Facade, ModelCheckerIsReachable) {
           .has_value());
 }
 
-TEST(Facade, BuilderRejectsZeroMailboxCapacity) {
-  // The Mailbox(0) silent-coercion bug is now a loud configuration error
-  // at every layer, starting with the public builder.
-  EXPECT_THROW(mpps::ParallelOptionsBuilder().mailbox_capacity(0),
-               mpps::UsageError);
-}
-
 TEST(Facade, EveryBuilderSetterRejectsInvalidInputNamingTheField) {
   // The unified builder error contract: every setter validates in the
   // setter itself, throws mpps::UsageError, and the message names the
@@ -145,12 +136,8 @@ TEST(Facade, EveryBuilderSetterRejectsInvalidInputNamingTheField) {
       {"threads", [] { mpps::ParallelOptionsBuilder().threads(0); }},
       {"num_buckets",
        [] { mpps::ParallelOptionsBuilder().num_buckets(0); }},
-      {"mailbox_capacity",
-       [] { mpps::ParallelOptionsBuilder().mailbox_capacity(0); }},
       {"threads", [] { mpps::ServeOptionsBuilder().threads(0); }},
       {"num_buckets", [] { mpps::ServeOptionsBuilder().num_buckets(0); }},
-      {"mailbox_capacity",
-       [] { mpps::ServeOptionsBuilder().mailbox_capacity(0); }},
       {"admission_batch",
        [] { mpps::ServeOptionsBuilder().admission_batch(0); }},
       {"queue_capacity",

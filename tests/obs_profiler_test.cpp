@@ -22,8 +22,6 @@ TEST(Profiler, CategoryNamesAreStable) {
   EXPECT_STREQ(prof_category_name(ProfCategory::Match), "match");
   EXPECT_STREQ(prof_category_name(ProfCategory::MailboxEnqueue),
                "mailbox_enqueue");
-  EXPECT_STREQ(prof_category_name(ProfCategory::MailboxDequeue),
-               "mailbox_dequeue");
   EXPECT_STREQ(prof_category_name(ProfCategory::BarrierWait), "barrier_wait");
   EXPECT_STREQ(prof_category_name(ProfCategory::RoundMerge), "round_merge");
   EXPECT_STREQ(prof_category_name(ProfCategory::ConflictUpdate),
@@ -64,7 +62,7 @@ TEST(Profiler, ReportArithmetic) {
   profiler.attach(2, 8);
 
   // Worker 0: a 1000 ns phase — 600 ns match (of which 100 ns were nested
-  // mailbox pushes), 300 ns barrier, 100 ns unexplained.
+  // cross-worker sends), 300 ns barrier, 100 ns unexplained.
   ProfLane* w0 = profiler.lane(0);
   w0->phase_span(0, 1000);
   w0->span(ProfCategory::Match, 0, 0, 600, /*aux=*/100);

@@ -135,17 +135,17 @@ TEST(PmatchDeterminism, MeasuredCountersAreConsistent) {
   const auto workers = engine.worker_stats();
   ASSERT_EQ(workers.size(), 4u);
   std::uint64_t activations = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t received = 0;
+  std::uint64_t routed = 0;
   for (const auto& w : workers) {
     activations += w.activations;
-    messages += w.messages_sent;
-    received += w.max_mailbox_depth;  // depth>0 implies traffic arrived
+    routed += w.messages_sent + w.local_deliveries;
   }
   EXPECT_EQ(activations, engine.stats().left_activations +
                              engine.stats().right_activations);
-  // Cross-worker traffic and received-side depth move together.
-  EXPECT_EQ(messages > 0, received > 0);
+  // Every routed child is processed as an activation of a later round;
+  // the constant-test roots account for the rest.
+  EXPECT_GT(routed, 0u);
+  EXPECT_LT(routed, activations);
 }
 
 TEST(PmatchDeterminism, MetricsRegistryGetsMeasuredSkew) {
@@ -163,7 +163,7 @@ TEST(PmatchDeterminism, MetricsRegistryGetsMeasuredSkew) {
   EXPECT_NE(csv.find("pmatch.phases"), std::string::npos);
   EXPECT_NE(csv.find("pmatch.rounds"), std::string::npos);
   EXPECT_NE(csv.find("pmatch.worker_busy_ns"), std::string::npos);
-  EXPECT_NE(csv.find("pmatch.mailbox_depth"), std::string::npos);
+  EXPECT_NE(csv.find("pmatch.messages"), std::string::npos);
   EXPECT_NE(csv.find("rete.activations"), std::string::npos);
 }
 

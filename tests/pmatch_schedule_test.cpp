@@ -5,6 +5,7 @@
 // profiler+schedule combination is rejected at construction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <string>
@@ -26,8 +27,8 @@ using pmatch_test::load_program;
 using pmatch_test::random_program;
 
 /// Keeps every ordering exactly as the engine presents it (a valid
-/// FIFO-respecting schedule; with no controller the engine would instead
-/// sort rounds by (sender, seq)).
+/// FIFO-respecting schedule, and the order the free-running engine
+/// gathers rounds in: ascending sender, emission order within each).
 struct IdentityControl : pmatch::ScheduleControl {
   void order_round(std::uint32_t, std::uint32_t,
                    std::span<const pmatch::ScheduledOp> ops,
@@ -140,27 +141,26 @@ TEST(PmatchSchedule, DuplicateIndexInOrderThrows) {
   EXPECT_THROW(run_join_phase(control), RuntimeError);
 }
 
-TEST(PmatchSchedule, BadDrainOrderThrows) {
-  struct BadDrain final : IdentityControl {
-    void drain_order(std::uint32_t, std::uint32_t, std::uint32_t,
+TEST(PmatchSchedule, DescendingSenderRoundOrderIsStillCorrect) {
+  // Taking the senders' streams highest sender first is a legal schedule:
+  // each sender's FIFO is intact, so the conflict set must not change.
+  struct DescendingSenders final : IdentityControl {
+    void order_round(std::uint32_t, std::uint32_t,
+                     std::span<const pmatch::ScheduledOp> ops,
                      std::vector<std::uint32_t>& order) override {
-      order.clear();  // must cover every producer
+      order.resize(ops.size());
+      std::iota(order.begin(), order.end(), 0u);
+      std::stable_sort(order.begin(), order.end(),
+                       [&](std::uint32_t a, std::uint32_t b) {
+                         return ops[a].sender > ops[b].sender;
+                       });
     }
   } control;
-  EXPECT_THROW(run_join_phase(control), RuntimeError);
-}
-
-TEST(PmatchSchedule, ReversedDrainOrderIsStillCorrect) {
-  // Draining producer slots in reverse is a legal schedule: per-producer
-  // FIFO is intact, so the conflict set must not change.
-  struct ReversedDrain final : IdentityControl {
-    void drain_order(std::uint32_t, std::uint32_t, std::uint32_t producers,
-                     std::vector<std::uint32_t>& order) override {
-      order.resize(producers);
-      std::iota(order.rbegin(), order.rend(), 0u);
-    }
-  } control;
-  run_controlled_lockstep(load_program("pairings.ops"), 2, control);
+  for (std::uint32_t threads : {2u, 4u}) {
+    SCOPED_TRACE(threads);
+    run_controlled_lockstep(load_program("pairings.ops"), threads, control);
+    run_controlled_lockstep(random_program(3), threads, control);
+  }
 }
 
 TEST(PmatchSchedule, ProfilerPlusScheduleThrowsAtConstruction) {

@@ -165,22 +165,6 @@ TEST(Invariants, CrossRunEventConservationViolationCaught) {
       << report.summary();
 }
 
-TEST(Invariants, CrossRunMonotonicityViolationCaught) {
-  const Trace trace = trace::make_weaver_section();
-  const SimConfig cheap = merged_config(4, 1);
-  const SimConfig costly = merged_config(4, 4);
-  const SimResult cheap_result = simulate(trace, cheap, rr(trace, cheap));
-  SimResult costly_result = simulate(trace, costly, rr(trace, costly));
-  // Pretend the costly run finished faster than the free one.
-  costly_result.makespan = cheap_result.makespan - SimTime::us(1);
-  const std::vector<ObservedRun> runs = {{cheap, &cheap_result},
-                                         {costly, &costly_result}};
-  const InvariantReport report = check_cross_run_invariants(trace, runs);
-  ASSERT_FALSE(report.ok());
-  EXPECT_NE(report.summary().find("overhead-monotonicity"), std::string::npos)
-      << report.summary();
-}
-
 TEST(Invariants, ChecksAreCountedIntoTheRegistry) {
   const Trace trace = trace::make_weaver_section();
   const SimConfig config = merged_config(2, 2);
